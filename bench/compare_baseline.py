@@ -8,8 +8,10 @@ bench/baseline.json:
   blocks, per-pass before/after snapshots and counters, verification
   status, degraded markers) must be byte-identical — the compiler's
   output circuits are pinned;
-- per-benchmark compile wall time may not exceed 2x the baseline
-  (generous, to tolerate CI machine noise).
+- per-benchmark compile wall time and verification time may each not
+  exceed 2x the baseline (generous, to tolerate CI machine noise).
+  Compile wall time (`elapsed_seconds`) stops before verification
+  starts, so verification (`verification_seconds`) gets its own check.
 
 Usage: compare_baseline.py [--metrics-only] CURRENT BASELINE
        compare_baseline.py --optimize CURRENT BASELINE
@@ -23,7 +25,7 @@ benchmark whose with-tier T-count or Eqn. 2 cost exceeds the baseline
 has lost a merge and fails, as does any oracle rejection, a missing
 benchmark, or a drop in the total improved count.
 
---metrics-only skips the wall-time comparison: the CI parallel job
+--metrics-only skips the time comparisons: the CI parallel job
 uses it to pin a --jobs N run byte-identical to the sequential run,
 where per-benchmark wall times legitimately differ under core
 contention.
@@ -41,7 +43,12 @@ import json
 import statistics
 import sys
 
-TIMING_FIELDS = {"elapsed_seconds", "verification_seconds"}
+# (field, label) of each time guarded against WALL_FACTOR x baseline.
+TIMED_STAGES = (
+    ("elapsed_seconds", "wall time"),
+    ("verification_seconds", "verification time"),
+)
+TIMING_FIELDS = {field for field, _ in TIMED_STAGES}
 PASS_TIMING_FIELDS = {"wall_seconds", "cpu_seconds"}
 WALL_FACTOR = 2.0
 # Below this many seconds, wall-time ratios are dominated by clock and
@@ -210,23 +217,29 @@ def main():
         if bm != cm:
             changed = [k for k in set(bm) | set(cm) if bm.get(k) != cm.get(k)]
             failures.append(f"{name}: circuit metrics changed ({sorted(changed)})")
-        bt, ct = b["elapsed_seconds"], c["elapsed_seconds"]
-        if not metrics_only and bt >= WALL_FLOOR_SECONDS and ct > WALL_FACTOR * bt:
-            failures.append(
-                f"{name}: wall time regressed {bt:.3f}s -> {ct:.3f}s "
-                f"(> {WALL_FACTOR:.0f}x baseline)"
-            )
+        if metrics_only:
+            continue
+        for field, label in TIMED_STAGES:
+            bt, ct = b[field], c[field]
+            if bt >= WALL_FLOOR_SECONDS and ct > WALL_FACTOR * bt:
+                failures.append(
+                    f"{name}: {label} regressed {bt:.3f}s -> {ct:.3f}s "
+                    f"(> {WALL_FACTOR:.0f}x baseline)"
+                )
 
     if failures:
         print("bench regression guard FAILED:")
         for f in failures:
             print(f"  {f}")
         sys.exit(1)
-    total_base = sum(b["elapsed_seconds"] for b in base.values())
-    total_cur = sum(c["elapsed_seconds"] for c in cur.values())
+    totals = ", ".join(
+        f"{label} {sum(b[field] for b in base.values()):.3f}s baseline vs "
+        f"{sum(c[field] for c in cur.values()):.3f}s current"
+        for field, label in TIMED_STAGES
+    )
     print(
         f"bench regression guard ok: {len(cur)} benchmarks, metrics identical, "
-        f"wall {total_base:.3f}s baseline vs {total_cur:.3f}s current"
+        f"{totals}"
     )
 
 

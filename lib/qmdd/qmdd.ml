@@ -1,17 +1,85 @@
 open Mathkit
 
-type node = { id : int; var : int; edges : edge array }
-and edge = { w : Cx.t; node : node }
+(* An interned edge weight: [z] is the canonical representative the
+   manager's value table chose for a computed value, [wid] its id there.
+   Every manager numbers zero 0 and one 1; other representatives get
+   ids from 2 in order of creation.  Two interned weights are the same
+   value iff their ids are equal, so the tables below key on ids and
+   never hash or compare floats.  [wid] is -1 only on the raw matrix
+   entries [controlled_gate] passes into [make_node], which interns them
+   before they reach a table or a caller. *)
+type weight = { z : Cx.t; wid : int }
 
-type unique_key = int * ((float * float) * int) array
+type node = { id : int; var : int; edges : edge array }
+and edge = { w : weight; node : node }
+
+let zero_w = { z = Cx.zero; wid = 0 }
+let one_w = { z = Cx.one; wid = 1 }
+
+(* 63-bit finalizer (multiply by odd constants, fold the high bits back
+   down) so every input bit reaches the low bits [Hashtbl] picks buckets
+   by: keys that differ only in their high bits must not share a
+   bucket. *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x2FD611DB47393973 in
+  let h = (h lxor (h lsr 29)) * 0x278DDE6E5FD29F05 in
+  h lxor (h lsr 32)
+
+let hash_step h x = (h * 0x278DDE6E5FD29F05) + x
+
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = mix
+end)
+
+(* The unique table is a set of nodes keyed on (var, 4 x (weight id,
+   child id)); a lookup probes with the candidate node itself. *)
+module Unique = Hashtbl.Make (struct
+  type t = node
+
+  let same_edge (a : edge) (b : edge) =
+    a.w.wid = b.w.wid && a.node.id = b.node.id
+
+  let equal a b =
+    a.var = b.var
+    && same_edge a.edges.(0) b.edges.(0)
+    && same_edge a.edges.(1) b.edges.(1)
+    && same_edge a.edges.(2) b.edges.(2)
+    && same_edge a.edges.(3) b.edges.(3)
+
+  let hash n =
+    let h = ref n.var in
+    for k = 0 to 3 do
+      let e = n.edges.(k) in
+      h := hash_step (hash_step !h e.w.wid) e.node.id
+    done;
+    mix !h
+end)
+
+(* Operation-cache key: two operand node ids and, for additions, the id
+   of the weight ratio (0 for products). *)
+type op_key = { left : int; right : int; ratio : int }
+
+module Op_table = Hashtbl.Make (struct
+  type t = op_key
+
+  let equal a b = a.left = b.left && a.right = b.right && a.ratio = b.ratio
+  let hash k = mix (hash_step (hash_step k.left k.right) k.ratio)
+end)
 
 type manager = {
   n : int;
   terminal : node;
-  unique : (unique_key, node) Hashtbl.t;
-  values : (int * int, Cx.t list) Hashtbl.t;
-  mul_cache : (int * int, edge) Hashtbl.t;
-  add_cache : (int * int * (float * float), edge) Hashtbl.t;
+  zero_e : edge;
+  unique : node Unique.t;
+  values : weight list Int_table.t;
+      (* value-table bucket (see [canonical]) -> representatives *)
+  mutable next_wid : int;
+  mul_cache : edge Op_table.t;
+  add_cache : edge Op_table.t;
+  gates : (Gate.t, edge) Hashtbl.t;
   mutable next_id : int;
   mutable identity_from : edge array;
       (* identity_from.(v) = identity over variables v .. n-1 *)
@@ -56,24 +124,44 @@ let bucket_scale = 1e9
 
 let bucket x = int_of_float (Float.round (x *. bucket_scale))
 
+(* One int per (re, im) bucket pair.  Two pairs share a key only when
+   they lie at least 2^31 buckets apart in one coordinate, far beyond the
+   3x3 neighborhood [canonical] scans and the 2e-9 it matches within, so
+   a shared chain never yields a representative the scan would not have
+   found in the pair's own bucket. *)
+let bucket_key br bi = (br lsl 32) + bi
+
+let is_zero_cx z =
+  abs_float z.Complex.re <= weight_eps && abs_float z.Complex.im <= weight_eps
+
+let is_one_cx z =
+  abs_float (z.Complex.re -. 1.0) <= weight_eps
+  && abs_float z.Complex.im <= weight_eps
+
 (* Map a freshly computed weight onto the canonical representative stored
    in the value table, so that near-equal floats coming from different
-   computation paths become physically identical and hash identically.
-   Checking the 3x3 neighborhood of the bucket covers values that land
-   just across a bucket boundary.
+   computation paths become the same interned weight.  Checking the 3x3
+   neighborhood of the bucket covers values that land just across a
+   bucket boundary.
 
    Each bucket holds a {e chain} of representatives, oldest first: a
    miss appends instead of overwriting, so a new weight that shares a
-   bucket with an established representative but fails the
-   [approx_equal] test never evicts it.  (Overwriting would let two
-   interleaved weight streams thrash the bucket and silently defeat
-   node dedup — every stream switch would re-canonicalize the other
-   stream's nodes to a fresh representative.)  Chains stay short: a
-   bucket is [weight_eps] wide while representatives must be more than
-   [2 * weight_eps] apart to coexist. *)
+   bucket with an established representative but fails the matching
+   test never evicts it.  (Overwriting would let two interleaved weight
+   streams thrash the bucket and silently defeat node dedup — every
+   stream switch would re-canonicalize the other stream's nodes to a
+   fresh representative.)  Chains stay short: a bucket is [weight_eps]
+   wide while representatives must be more than [2 * weight_eps] apart
+   to coexist.
+
+   [canonical] is idempotent on representatives: a representative was
+   added only because nothing older in its neighborhood matched it, so
+   looking it up again finds itself first.  That is what lets the hot
+   paths below skip re-canonicalizing interned weights and shortcut
+   products and quotients with one. *)
 let canonical m z =
-  if Cx.is_zero ~eps:weight_eps z then Cx.zero
-  else if Cx.is_one ~eps:weight_eps z then Cx.one
+  if is_zero_cx z then zero_w
+  else if is_one_cx z then one_w
   else
     let br = bucket z.Complex.re and bi = bucket z.Complex.im in
     (* The matching tolerance shrinks with the weight's magnitude:
@@ -91,20 +179,25 @@ let canonical m z =
     let magnitude =
       Float.max (abs_float z.Complex.re) (abs_float z.Complex.im)
     in
-    let matching =
-      Cx.approx_equal ~eps:(2.0 *. weight_eps *. Float.min 1.0 magnitude)
+    let eps = 2.0 *. weight_eps *. Float.min 1.0 magnitude in
+    let matching rep =
+      abs_float (rep.z.Complex.re -. z.Complex.re) <= eps
+      && abs_float (rep.z.Complex.im -. z.Complex.im) <= eps
     in
     let rec scan = function
       | [] ->
+        let key = bucket_key br bi in
+        let rep = { z; wid = m.next_wid } in
+        m.next_wid <- m.next_wid + 1;
         let chain =
-          Option.value ~default:[] (Hashtbl.find_opt m.values (br, bi))
+          Option.value ~default:[] (Int_table.find_opt m.values key)
         in
-        Hashtbl.replace m.values (br, bi) (chain @ [ z ]);
-        z
+        Int_table.replace m.values key (chain @ [ rep ]);
+        rep
       | (dr, di) :: rest -> (
-        match Hashtbl.find_opt m.values (br + dr, bi + di) with
+        match Int_table.find_opt m.values (bucket_key (br + dr) (bi + di)) with
         | Some chain -> (
-          match List.find_opt (fun rep -> matching rep z) chain with
+          match List.find_opt matching chain with
           | Some rep -> rep
           | None -> scan rest)
         | None -> scan rest)
@@ -113,16 +206,29 @@ let canonical m z =
       [ (0, 0); (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1);
         (-1, -1) ]
 
+(* Products and quotients of interned weights, shortcut when an operand
+   is one (exact in floating point, and [canonical] is idempotent). *)
+let mul_weight m a b =
+  if a.wid = 1 then b
+  else if b.wid = 1 then a
+  else canonical m (Cx.mul a.z b.z)
+
+let div_weight m a b =
+  if b.wid = 1 then a else canonical m (Cx.div a.z b.z)
+
 let create ~n =
   if n <= 0 then invalid_arg "Qmdd.create: need at least one qubit";
   let terminal = { id = 0; var = n; edges = [||] } in
   {
     n;
     terminal;
-    unique = Hashtbl.create 4096;
-    values = Hashtbl.create 1024;
-    mul_cache = Hashtbl.create 4096;
-    add_cache = Hashtbl.create 4096;
+    zero_e = { w = zero_w; node = terminal };
+    unique = Unique.create 4096;
+    values = Int_table.create 1024;
+    next_wid = 2;
+    mul_cache = Op_table.create 4096;
+    add_cache = Op_table.create 4096;
+    gates = Hashtbl.create 64;
     next_id = 1;
     identity_from = [||];
     budget = None;
@@ -139,7 +245,7 @@ let allocated_nodes m = m.next_id
 
 let stats m =
   {
-    unique_nodes = Hashtbl.length m.unique;
+    unique_nodes = Unique.length m.unique;
     peak_unique_nodes = m.peak_unique;
     allocated = m.next_id;
     mul_cache_hits = m.mul_hits;
@@ -148,43 +254,39 @@ let stats m =
     add_cache_misses = m.add_misses;
   }
 
-let zero_edge m = { w = Cx.zero; node = m.terminal }
-let terminal_one m = { w = Cx.one; node = m.terminal }
-
-let edge_key e = (Cx.round_key e.w, e.node.id)
+let zero_edge m = m.zero_e
+let terminal_one m = { w = one_w; node = m.terminal }
 
 (* Hash-consing constructor.  Normalizes so the leftmost non-zero edge
    weight is exactly one; the factored-out weight becomes the weight of
-   the returned edge. *)
+   the returned edge.  Raw weights (see [weight]) are interned first, in
+   edge order; the caller's fresh [edges] array is updated in place. *)
 let make_node m var edges =
-  let edges =
-    Array.map
-      (fun e ->
-        let w = canonical m e.w in
-        if w == Cx.zero || Cx.is_zero ~eps:weight_eps w then zero_edge m
-        else { e with w })
-      edges
-  in
+  for k = 0 to 3 do
+    let e = edges.(k) in
+    if e.w.wid < 0 then edges.(k) <- { e with w = canonical m e.w.z }
+  done;
   let rec first_nonzero k =
-    if k >= 4 then None
-    else if Cx.is_zero ~eps:weight_eps edges.(k).w then first_nonzero (k + 1)
-    else Some k
+    if k >= 4 || edges.(k).w.wid <> 0 then k else first_nonzero (k + 1)
   in
-  match first_nonzero 0 with
-  | None -> zero_edge m
-  | Some k ->
+  let k = first_nonzero 0 in
+  if k = 4 then zero_edge m
+  else
     let norm = edges.(k).w in
     let normalized =
       Array.mapi
         (fun idx e ->
-          if Cx.is_zero ~eps:weight_eps e.w then zero_edge m
-          else if idx = k then { e with w = Cx.one }
-          else { e with w = canonical m (Cx.div e.w norm) })
+          if e.w.wid = 0 then zero_edge m
+          else if idx = k then
+            if e.w.wid = 1 then e else { e with w = one_w }
+          else
+            let w = div_weight m e.w norm in
+            if w == e.w then e else { e with w })
         edges
     in
-    let key = (var, Array.map edge_key normalized) in
+    let probe = { id = -1; var; edges = normalized } in
     let node =
-      match Hashtbl.find_opt m.unique key with
+      match Unique.find_opt m.unique probe with
       | Some node -> node
       | None ->
         (match m.budget with
@@ -194,19 +296,25 @@ let make_node m var edges =
         | Some d when m.next_id land (deadline_stride - 1) = 0 ->
           if Int64.compare (now_ns ()) d >= 0 then raise Deadline_exceeded
         | Some _ | None -> ());
-        let node = { id = m.next_id; var; edges = normalized } in
+        let node = { probe with id = m.next_id } in
         m.next_id <- m.next_id + 1;
-        Hashtbl.add m.unique key node;
-        let live = Hashtbl.length m.unique in
+        Unique.add m.unique node node;
+        let live = Unique.length m.unique in
         if live > m.peak_unique then m.peak_unique <- live;
         node
     in
     { w = norm; node }
 
 let scale_edge m s e =
-  if Cx.is_zero ~eps:weight_eps s || Cx.is_zero ~eps:weight_eps e.w then
-    zero_edge m
-  else { e with w = canonical m (Cx.mul s e.w) }
+  if s.wid = 0 || e.w.wid = 0 then zero_edge m
+  else if s.wid = 1 then e
+  else { e with w = mul_weight m s e.w }
+
+(* [scale_edge] by a scalar that is not interned yet; the product is
+   canonicalized once, as a whole. *)
+let scale_edge_raw m s e =
+  if is_zero_cx s || e.w.wid = 0 then zero_edge m
+  else { e with w = canonical m (Cx.mul s e.w.z) }
 
 let build_identity_table m =
   let table = Array.make (m.n + 1) (terminal_one m) in
@@ -223,6 +331,12 @@ let identity_from m v =
 let identity m = identity_from m 0
 let zero m = zero_edge m
 
+(* Whether [node] is the identity over its variable and everything below.
+   Only consults a table that already exists, so the test never
+   allocates nodes of its own. *)
+let is_identity_node m node =
+  Array.length m.identity_from > 0 && m.identity_from.(node.var).node == node
+
 (* The operation caches grow with every distinct (operand, operand)
    pair; on the 96-qubit verifications that is the dominant memory
    consumer, so they are emptied once they pass a bound.  Dropping a
@@ -230,22 +344,22 @@ let zero m = zero_edge m
 let cache_bound = 2_000_000
 
 let trim_cache table =
-  if Hashtbl.length table > cache_bound then Hashtbl.reset table
+  if Op_table.length table > cache_bound then Op_table.reset table
 
 let rec add m a b =
   trim_cache m.add_cache;
-  if Cx.is_zero ~eps:weight_eps a.w then b
-  else if Cx.is_zero ~eps:weight_eps b.w then a
+  if a.w.wid = 0 then b
+  else if b.w.wid = 0 then a
   else if a.node == m.terminal then
-    let w = canonical m (Cx.add a.w b.w) in
-    if Cx.is_zero ~eps:weight_eps w then zero_edge m else { w; node = m.terminal }
+    let w = canonical m (Cx.add a.w.z b.w.z) in
+    if w.wid = 0 then zero_edge m else { w; node = m.terminal }
   else begin
     (* Factor the first weight out so the cache works on (node, node,
        weight-ratio); addition is linear, so scaling back is sound. *)
-    let ratio = canonical m (Cx.div b.w a.w) in
-    let key = (a.node.id, b.node.id, Cx.round_key ratio) in
+    let ratio = div_weight m b.w a.w in
+    let key = { left = a.node.id; right = b.node.id; ratio = ratio.wid } in
     let unit_result =
-      match Hashtbl.find_opt m.add_cache key with
+      match Op_table.find_opt m.add_cache key with
       | Some r ->
         m.add_hits <- m.add_hits + 1;
         r
@@ -256,7 +370,7 @@ let rec add m a b =
               add m a.node.edges.(k) (scale_edge m ratio b.node.edges.(k)))
         in
         let r = make_node m a.node.var children in
-        Hashtbl.replace m.add_cache key r;
+        Op_table.replace m.add_cache key r;
         r
     in
     scale_edge m a.w unit_result
@@ -264,45 +378,57 @@ let rec add m a b =
 
 let rec multiply m a b =
   trim_cache m.mul_cache;
-  if Cx.is_zero ~eps:weight_eps a.w || Cx.is_zero ~eps:weight_eps b.w then
-    zero_edge m
+  if a.w.wid = 0 || b.w.wid = 0 then zero_edge m
   else if a.node == m.terminal then scale_edge m a.w b
   else if b.node == m.terminal then scale_edge m b.w a
-  else begin
-    let key = (a.node.id, b.node.id) in
-    let unit_result =
-      match Hashtbl.find_opt m.mul_cache key with
-      | Some r ->
-        m.mul_hits <- m.mul_hits + 1;
-        r
-      | None ->
-        m.mul_misses <- m.mul_misses + 1;
-        (* Quadrant (i,j) of the product is sum_k A(i,k) * B(k,j). *)
-        let quadrant i j =
-          add m
-            (multiply m a.node.edges.((2 * i) + 0) b.node.edges.((2 * 0) + j))
-            (multiply m a.node.edges.((2 * i) + 1) b.node.edges.((2 * 1) + j))
-        in
-        let children =
-          [| quadrant 0 0; quadrant 0 1; quadrant 1 0; quadrant 1 1 |]
-        in
-        let r = make_node m a.node.var children in
-        Hashtbl.replace m.mul_cache key r;
-        r
-    in
-    scale_edge m (canonical m (Cx.mul a.w b.w)) unit_result
-  end
+  else
+    let a_is_identity = is_identity_node m a.node in
+    if a_is_identity || is_identity_node m b.node then begin
+      (* Identity skip: the product with an identity diagram is the other
+         operand's node, and the recursion below would rebuild exactly
+         that node level by level.  Take it directly, weighted as the
+         general case weights its result. *)
+      let other = if a_is_identity then b else a in
+      let w = mul_weight m a.w b.w in
+      if w == other.w then other
+      else if w.wid = 0 then zero_edge m
+      else { other with w }
+    end
+    else begin
+      let key = { left = a.node.id; right = b.node.id; ratio = 0 } in
+      let unit_result =
+        match Op_table.find_opt m.mul_cache key with
+        | Some r ->
+          m.mul_hits <- m.mul_hits + 1;
+          r
+        | None ->
+          m.mul_misses <- m.mul_misses + 1;
+          (* Quadrant (i,j) of the product is sum_k A(i,k) * B(k,j). *)
+          let quadrant i j =
+            add m
+              (multiply m a.node.edges.((2 * i) + 0) b.node.edges.((2 * 0) + j))
+              (multiply m a.node.edges.((2 * i) + 1) b.node.edges.((2 * 1) + j))
+          in
+          let children =
+            [| quadrant 0 0; quadrant 0 1; quadrant 1 0; quadrant 1 1 |]
+          in
+          let r = make_node m a.node.var children in
+          Op_table.replace m.mul_cache key r;
+          r
+      in
+      scale_edge m (mul_weight m a.w b.w) unit_result
+    end
 
 (* Construction of a single-target controlled gate.  [diag v alpha beta]
    is the diagonal matrix over variables v..n-1 whose entry is [alpha]
-   on rows where every control below v is 1, and [beta] elsewhere. *)
+   (a raw matrix entry) on rows where every control below v is 1, and
+   [beta] (interned zero or one) elsewhere. *)
 let controlled_gate m ~controls ~target ~u =
   let in_controls = Array.make m.n false in
   List.iter (fun c -> in_controls.(c) <- true) controls;
   let rec diag v alpha beta =
-    if Cx.is_zero ~eps:weight_eps alpha && Cx.is_zero ~eps:weight_eps beta then
-      zero_edge m
-    else if v = m.n then { w = alpha; node = m.terminal }
+    if is_zero_cx alpha && beta.wid = 0 then zero_edge m
+    else if v = m.n then { w = { z = alpha; wid = -1 }; node = m.terminal }
     else if in_controls.(v) then
       make_node m v
         [|
@@ -319,7 +445,7 @@ let controlled_gate m ~controls ~target ~u =
     if v = target then
       let quadrant i j =
         let alpha = Matrix.get u i j in
-        let beta = if i = j then Cx.one else Cx.zero in
+        let beta = if i = j then one_w else zero_w in
         diag (v + 1) alpha beta
       in
       make_node m v [| quadrant 0 0; quadrant 0 1; quadrant 1 0; quadrant 1 1 |]
@@ -339,7 +465,7 @@ let controlled_gate m ~controls ~target ~u =
 
 let one_qubit_u g = Gate.base_matrix g
 
-let rec gate m g =
+let rec build_gate m g =
   if Gate.max_qubit g >= m.n then
     invalid_arg
       (Printf.sprintf "Qmdd.gate: %s outside %d-qubit register"
@@ -375,6 +501,18 @@ let rec gate m g =
     let e2 = gate m (cnot b a) in
     multiply m e1 (multiply m e2 e1)
 
+(* Memoized per manager: a circuit repeats few distinct gates many times,
+   and every rebuild would walk all n levels through [make_node] only to
+   find nodes that already exist.  Only gates that passed [build_gate]'s
+   checks are ever stored. *)
+and gate m g =
+  match Hashtbl.find_opt m.gates g with
+  | Some e -> e
+  | None ->
+    let e = build_gate m g in
+    Hashtbl.add m.gates g e;
+    e
+
 let apply m g e = multiply m (gate m g) e
 
 let with_budget m node_budget f =
@@ -393,11 +531,11 @@ let of_circuit ?node_budget m c =
   with_budget m node_budget (fun () ->
       Circuit.fold (fun acc g -> apply m g acc) (identity m) c)
 
-let equal a b = a.node == b.node && a.w = b.w
+let equal a b = a.node == b.node && a.w.wid = b.w.wid
 
 let equal_up_to_phase a b =
   a.node == b.node
-  && abs_float (Cx.norm a.w -. Cx.norm b.w) <= 1e-6
+  && abs_float (Cx.norm a.w.z -. Cx.norm b.w.z) <= 1e-6
 
 (* [canonical] snaps each weight to a bucket representative up to
    [2 * weight_eps] away, and a product of many gates accumulates those
@@ -406,10 +544,10 @@ let equal_up_to_phase a b =
    irrational-angle circuits fail their own equivalence check.  1e-6
    matches the phase-insensitive variant below. *)
 let is_identity m e =
-  e.node == (identity m).node && Cx.is_one ~eps:1e-6 e.w
+  e.node == (identity m).node && Cx.is_one ~eps:1e-6 e.w.z
 
 let is_identity_up_to_phase m e =
-  e.node == (identity m).node && abs_float (Cx.norm e.w -. 1.0) <= 1e-6
+  e.node == (identity m).node && abs_float (Cx.norm e.w.z -. 1.0) <= 1e-6
 
 (* Relabel both circuits so qubits appear in first-use order (reference
    first, then the candidate), clustering interacting qubits in the
@@ -502,8 +640,8 @@ let adjoint m e =
       | None ->
         let child k =
           let c = node.edges.(k) in
-          if Cx.is_zero ~eps:weight_eps c.w then zero_edge m
-          else scale_edge m (Cx.conj c.w) (walk c.node)
+          if c.w.wid = 0 then zero_edge m
+          else scale_edge_raw m (Cx.conj c.w.z) (walk c.node)
         in
         let r =
           make_node m node.var [| child 0; child 2; child 1; child 3 |]
@@ -511,7 +649,7 @@ let adjoint m e =
         Hashtbl.replace cache node.id r;
         r
   in
-  scale_edge m (Cx.conj e.w) (walk e.node)
+  scale_edge_raw m (Cx.conj e.w.z) (walk e.node)
 
 let trace m e =
   let cache = Hashtbl.create 256 in
@@ -523,14 +661,13 @@ let trace m e =
       | None ->
         let part k =
           let c = node.edges.(k) in
-          if Cx.is_zero ~eps:weight_eps c.w then Cx.zero
-          else Cx.mul c.w (walk c.node)
+          if c.w.wid = 0 then Cx.zero else Cx.mul c.w.z (walk c.node)
         in
         let t = Cx.add (part 0) (part 3) in
         Hashtbl.replace cache node.id t;
         t
   in
-  Cx.mul e.w (walk e.node)
+  Cx.mul e.w.z (walk e.node)
 
 let process_fidelity c1 c2 =
   if Circuit.n_qubits c1 <> Circuit.n_qubits c2 then
@@ -540,7 +677,7 @@ let process_fidelity c1 c2 =
   let u1 = Circuit.fold (fun acc g -> apply m g acc) (identity m) c1 in
   let u2 = Circuit.fold (fun acc g -> apply m g acc) (identity m) c2 in
   let overlap = trace m (multiply m (adjoint m u1) u2) in
-  Cx.norm overlap /. float_of_int (1 lsl n)
+  Cx.norm overlap /. Float.ldexp 1.0 n
 
 let check_bits m bits name =
   if Array.length bits <> m.n then
@@ -570,24 +707,24 @@ let classical_outcome m state ~from =
      nonzero, with unit weight overall. *)
   let row = Array.make m.n false in
   let rec walk e v magnitude =
-    if Cx.is_zero ~eps:weight_eps e.w then None
+    if e.w.wid = 0 then None
     else if v = m.n then begin
-      let mag = magnitude *. Cx.norm e.w in
+      let mag = magnitude *. Cx.norm e.w.z in
       if abs_float (mag -. 1.0) <= 1e-6 then Some (Array.copy row) else None
     end
     else begin
       let cbit = if from.(v) then 1 else 0 in
       let zero_branch = e.node.edges.((2 * 0) + cbit) in
       let one_branch = e.node.edges.((2 * 1) + cbit) in
-      let z_alive = not (Cx.is_zero ~eps:weight_eps zero_branch.w) in
-      let o_alive = not (Cx.is_zero ~eps:weight_eps one_branch.w) in
+      let z_alive = zero_branch.w.wid <> 0 in
+      let o_alive = one_branch.w.wid <> 0 in
       match (z_alive, o_alive) with
       | true, false ->
         row.(v) <- false;
-        walk zero_branch (v + 1) (magnitude *. Cx.norm e.w)
+        walk zero_branch (v + 1) (magnitude *. Cx.norm e.w.z)
       | false, true ->
         row.(v) <- true;
-        walk one_branch (v + 1) (magnitude *. Cx.norm e.w)
+        walk one_branch (v + 1) (magnitude *. Cx.norm e.w.z)
       | true, true | false, false -> None
     end
   in
@@ -604,25 +741,28 @@ let node_count e =
   visit e.node;
   Hashtbl.length seen
 
-let entry m e ~row ~col =
+(* The matrix entry whose row and column bits at variable v are
+   [row_bit v] and [col_bit v], read by walking one path of the
+   diagram. *)
+let entry_at m e ~row_bit ~col_bit =
   let rec walk e v =
-    if Cx.is_zero ~eps:weight_eps e.w then Cx.zero
-    else if v = m.n then e.w
+    if e.w.wid = 0 then Cx.zero
+    else if v = m.n then e.w.z
     else
-      let rbit = (row lsr (m.n - 1 - v)) land 1 in
-      let cbit = (col lsr (m.n - 1 - v)) land 1 in
-      let child = e.node.edges.((2 * rbit) + cbit) in
-      Cx.mul e.w (walk child (v + 1))
+      let child = e.node.edges.((2 * row_bit v) + col_bit v) in
+      Cx.mul e.w.z (walk child (v + 1))
   in
   walk e 0
 
-let index_of_bits bits =
-  Array.fold_left (fun acc b -> (acc * 2) + if b then 1 else 0) 0 bits
+let entry m e ~row ~col =
+  let bit k v = (k lsr (m.n - 1 - v)) land 1 in
+  entry_at m e ~row_bit:(bit row) ~col_bit:(bit col)
 
 let amplitude m state ~from bits =
   check_bits m from "amplitude";
   check_bits m bits "amplitude";
-  entry m state ~row:(index_of_bits bits) ~col:(index_of_bits from)
+  let bit a v = if a.(v) then 1 else 0 in
+  entry_at m state ~row_bit:(bit bits) ~col_bit:(bit from)
 
 let to_matrix m e =
   let dim = 1 lsl m.n in
@@ -650,7 +790,7 @@ let to_dot m e =
   Buffer.add_string buf "digraph qmdd {\n  rankdir=TB;\n";
   Buffer.add_string buf
     (Printf.sprintf "  root [shape=none, label=\"%s\"];\n  root -> n%d;\n"
-       (Cx.to_string e.w) e.node.id);
+       (Cx.to_string e.w.z) e.node.id);
   iter_nodes e (fun node ->
       if node == m.terminal then
         Buffer.add_string buf
@@ -661,7 +801,7 @@ let to_dot m e =
              node.var);
         Array.iteri
           (fun k child ->
-            if Cx.is_zero ~eps:weight_eps child.w then
+            if child.w.wid = 0 then
               Buffer.add_string buf
                 (Printf.sprintf
                    "  z%d_%d [shape=point]; n%d -> z%d_%d [label=\"0 (U%d%d)\", style=dashed];\n"
@@ -669,7 +809,7 @@ let to_dot m e =
             else
               Buffer.add_string buf
                 (Printf.sprintf "  n%d -> n%d [label=\"%s (U%d%d)\"];\n"
-                   node.id child.node.id (Cx.to_string child.w) (k / 2)
+                   node.id child.node.id (Cx.to_string child.w.z) (k / 2)
                    (k mod 2)))
           node.edges
       end);
@@ -678,7 +818,7 @@ let to_dot m e =
 
 let to_ascii m e =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "root --%s--> n%d\n" (Cx.to_string e.w) e.node.id);
+  Buffer.add_string buf (Printf.sprintf "root --%s--> n%d\n" (Cx.to_string e.w.z) e.node.id);
   iter_nodes e (fun node ->
       if node == m.terminal then
         Buffer.add_string buf (Printf.sprintf "n%d: terminal(1)\n" node.id)
@@ -687,8 +827,8 @@ let to_ascii m e =
         Array.iteri
           (fun k child ->
             let label =
-              if Cx.is_zero ~eps:weight_eps child.w then "0"
-              else Printf.sprintf "%s*n%d" (Cx.to_string child.w) child.node.id
+              if child.w.wid = 0 then "0"
+              else Printf.sprintf "%s*n%d" (Cx.to_string child.w.z) child.node.id
             in
             Buffer.add_string buf
               (Printf.sprintf "%sU%d%d=%s" (if k = 0 then "[" else " ") (k / 2)

@@ -15,9 +15,20 @@
     two circuits have pointer-equal QMDDs iff their matrices agree, which
     is exactly the equivalence check the compiler runs on every output.
 
-    All diagrams belong to a [manager] that owns the unique table and the
-    operation caches.  Diagrams from different managers must not be
-    mixed. *)
+    All diagrams belong to a [manager] that owns the unique table, the
+    value table, the operation caches and the gate cache.  Diagrams from
+    different managers must not be mixed.
+
+    The hot path works on integers.  Each canonical weight
+    representative gets an id in the manager's value table and edges
+    carry that id, so the unique table is keyed on (variable,
+    4 x (weight id, child id)), the multiply cache on the two operand
+    node ids and the add cache on (node id, node id, weight-ratio id);
+    none of them hashes or compares floats.  {!multiply} returns the
+    other operand, rescaled, when one operand is an identity diagram,
+    without probing its cache or recursing.  None of this changes which
+    canonical form a matrix gets: diagrams, verdicts and node counts do
+    not depend on these shortcuts. *)
 
 type manager
 type edge
@@ -64,13 +75,15 @@ val zero : manager -> edge
 
 (** [gate m g] builds the diagram of gate [g] embedded in the manager's
     n-qubit register.  Linear in n for every gate in the set (SWAP is
-    built as three CNOTs).
+    built as three CNOTs).  Memoized per manager: a repeated [g]
+    returns the same edge and allocates no nodes.
     @raise Invalid_argument if the gate does not fit the register, or
     if a rotation/phase gate carries a non-finite (NaN or infinite)
     angle — such a weight would poison the canonical value table. *)
 val gate : manager -> Gate.t -> edge
 
-(** [multiply m a b] is the matrix product [a * b]. *)
+(** [multiply m a b] is the matrix product [a * b].  Multiplying by
+    {!identity} on either side returns the other operand itself. *)
 val multiply : manager -> edge -> edge -> edge
 
 (** [add m a b] is the matrix sum. *)
@@ -185,7 +198,9 @@ val amplitude : manager -> edge -> from:bool array -> bool array -> Mathkit.Cx.t
 val classical_outcome : manager -> edge -> from:bool array -> bool array option
 
 (** [entry m e ~row ~col] reads one matrix entry by walking the
-    diagram. *)
+    diagram.  [row] and [col] are integers with qubit 0 as the most
+    significant bit, so this covers registers of at most 62 qubits;
+    {!amplitude} takes bit arrays and works at any width. *)
 val entry : manager -> edge -> row:int -> col:int -> Mathkit.Cx.t
 
 (** [to_matrix m e] expands the diagram into a dense matrix; exponential,

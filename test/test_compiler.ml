@@ -655,28 +655,34 @@ let test_deadline_degrades_not_aborts () =
     Alcotest.failf "deadline compile aborted: %s"
       (String.concat "; " (List.map Diagnostic.to_string ds))
 
-(* A circuit whose QMDD equivalence check takes ~100ms: 25 layers of
-   T/H/CNOT-chain over 16 qubits keeps the diagram dense enough that
-   the check cannot finish inside the sliver of budget the test leaves
-   it. *)
+(* A circuit whose QMDD equivalence check takes ~0.5 s: 50 layers of
+   T/H/CNOT-chain over 16 qubits, then one CNOT between opposite sides
+   of ibmqx5's ring.  Routing that last CNOT appends a long SWAP chain,
+   so the alternating miter consumes the reference more slowly than the
+   routed circuit and carries about a layer of the entangling chain
+   uninverted: the diagram stays dense throughout.  Without that CNOT
+   the miter stays next to the identity and the check is too cheap —
+   adding layers would not help, because the linear lint and cost work
+   between the last inject hook and verification grows as fast as the
+   check and eats the margin the test leaves. *)
 let verification_heavy =
   let n = 16 in
   let gates = ref [] in
-  for _layer = 1 to 25 do
+  for _layer = 1 to 50 do
     for q = 0 to n - 1 do
       gates := Gate.H q :: Gate.T q :: !gates;
       if q < n - 1 then
         gates := Gate.Cnot { control = q; target = q + 1 } :: !gates
     done
   done;
-  Circuit.make ~n (List.rev !gates)
+  Circuit.make ~n (List.rev (Gate.Cnot { control = 0; target = 8 } :: !gates))
 
 let test_deadline_enforced_inside_verification () =
   (* Regression: the wall-clock budget used to be consulted only
      between stages, so a compile that reached verification with a
      moment to spare ran the QMDD check to completion however long it
      took.  The inject hook below burns the budget down to ~30ms after
-     routing; the check needs ~100ms, so the deadline must now expire
+     routing; the check needs far longer, so the deadline must now expire
      mid-check and degrade to [Unverified] with the during-verification
      reason.  Pre-fix this test fails with [Verified]. *)
   let device = Device.Ibm.ibmqx5 in

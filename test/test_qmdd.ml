@@ -388,6 +388,113 @@ let test_canonical_weight_stability () =
   Alcotest.(check bool) "representative stable" true
     (Qmdd.equal ea (Qmdd.gate m ga))
 
+let test_identity_skip () =
+  (* A product with the identity is the other operand itself, on either
+     side: the kernel takes it without recursing or allocating. *)
+  let m = Qmdd.create ~n:3 in
+  let e =
+    Qmdd.of_circuit m
+      (Circuit.make ~n:3
+         [ Gate.H 0; Gate.T 1; Gate.Cnot { control = 0; target = 2 } ])
+  in
+  let id = Qmdd.identity m in
+  let before = Qmdd.allocated_nodes m in
+  check_bool "I * e == e" true (Qmdd.multiply m id e == e);
+  check_bool "e * I == e" true (Qmdd.multiply m e id == e);
+  check_bool "I * I == I" true (Qmdd.multiply m id id == id);
+  check_int "no nodes allocated" before (Qmdd.allocated_nodes m)
+
+let test_gate_cache () =
+  (* [gate] is memoized per manager: a repeated gate is the same diagram
+     and costs no new nodes. *)
+  let m = Qmdd.create ~n:8 in
+  List.iter
+    (fun g ->
+      let first = Qmdd.gate m g in
+      let before = Qmdd.allocated_nodes m in
+      let again = Qmdd.gate m g in
+      check_bool (Gate.to_string g ^ " equal") true (Qmdd.equal first again);
+      check_bool (Gate.to_string g ^ " cached") true (first == again);
+      check_int (Gate.to_string g ^ " allocates nothing") before
+        (Qmdd.allocated_nodes m))
+    [
+      Gate.Toffoli { c1 = 1; c2 = 6; target = 3 };
+      Gate.Swap (2, 7);
+      Gate.Rz (0.3, 5);
+      Gate.Mct { controls = [ 0; 4; 7 ]; target = 2 };
+    ];
+  (* Invalid gates are rejected every time, never cached. *)
+  for _ = 1 to 2 do
+    match Qmdd.gate m (Gate.Rz (Float.nan, 0)) with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "NaN angle accepted"
+  done
+
+let test_wide_miter_counts_pinned () =
+  (* A fixed 96-qubit Clifford+T miter: CNOT chains against the same
+     chains written as H-CZ-H.  The node counts depend only on how
+     canonical forms are chosen (tolerance buckets, representative
+     chains, leftmost-nonzero normalization), so they pin that choice
+     against kernel changes that should be pure speed-ups. *)
+  let n = 96 in
+  let a = ref [] and b = ref [] in
+  for layer = 1 to 3 do
+    for q = 0 to n - 2 do
+      let g = if (q + layer) mod 3 = 0 then Gate.Tdg q else Gate.T q in
+      a := Gate.Cnot { control = q; target = q + 1 } :: g :: Gate.H q :: !a;
+      b :=
+        Gate.H (q + 1) :: Gate.Cz (q, q + 1) :: Gate.H (q + 1) :: g :: Gate.H q
+        :: !b
+    done
+  done;
+  let stats = ref None in
+  check_bool "equivalent" true
+    (Qmdd.equivalent
+       ~stats:(fun s -> stats := Some s)
+       (Circuit.make ~n (List.rev !a))
+       (Circuit.make ~n (List.rev !b)));
+  match !stats with
+  | None -> Alcotest.fail "no stats reported"
+  | Some s ->
+    check_int "allocated" 27838 s.Qmdd.allocated;
+    check_int "peak unique nodes" 27837 s.Qmdd.peak_unique_nodes
+
+let test_wide_amplitude () =
+  (* Amplitudes on registers wider than an OCaml int: X 0; H 95 from
+     |0...0> is (|10...0> + |10...01>) / sqrt 2. *)
+  let n = 96 in
+  let m = Qmdd.create ~n in
+  let from = Array.make n false in
+  let state =
+    Qmdd.run_basis m (Circuit.make ~n [ Gate.X 0; Gate.H 95 ]) ~from
+  in
+  let set qs = Array.init n (fun q -> List.mem q qs) in
+  let amp qs = Qmdd.amplitude m state ~from (set qs) in
+  let expected = Cx.of_float Cx.inv_sqrt2 in
+  check_bool "<10...01|" true (Cx.approx_equal (amp [ 0; 95 ]) expected);
+  check_bool "<10...00|" true (Cx.approx_equal (amp [ 0 ]) expected);
+  check_bool "<00...01|" true (Cx.is_zero (amp [ 95 ]));
+  check_bool "<0...0|" true (Cx.is_zero (amp []))
+
+let test_wide_process_fidelity () =
+  (* 2^n overflows an OCaml int from n = 63: identical circuits must
+     still score 1. *)
+  List.iter
+    (fun n ->
+      let c =
+        Circuit.make ~n
+          [
+            Gate.H 0;
+            Gate.Cnot { control = 0; target = n - 1 };
+            Gate.T (n - 1);
+            Gate.Swap (1, n - 2);
+          ]
+      in
+      let f = Qmdd.process_fidelity c c in
+      check_bool (Printf.sprintf "n = %d self fidelity %g" n f) true
+        (abs_float (f -. 1.0) < 1e-9))
+    [ 64; 96 ]
+
 let () =
   Alcotest.run "qmdd"
     [
@@ -402,6 +509,8 @@ let () =
           Alcotest.test_case "canonical weight stability" `Quick
             test_canonical_weight_stability;
           Alcotest.test_case "of_circuit/entry" `Quick test_of_circuit_and_entry;
+          Alcotest.test_case "identity skip" `Quick test_identity_skip;
+          Alcotest.test_case "gate cache" `Quick test_gate_cache;
         ] );
       ( "equivalence",
         [
@@ -411,12 +520,16 @@ let () =
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "fig3 swap identity" `Quick test_swap_chain_identity;
           Alcotest.test_case "reorder flag" `Quick test_reorder_flag;
+          Alcotest.test_case "96-qubit miter node counts" `Quick
+            test_wide_miter_counts_pinned;
           QCheck_alcotest.to_alcotest prop_reorder_agrees;
         ] );
       ( "diagnostics",
         [
           Alcotest.test_case "adjoint/trace" `Quick test_adjoint_and_trace;
           Alcotest.test_case "process fidelity" `Quick test_process_fidelity;
+          Alcotest.test_case "process fidelity on 64 and 96 qubits" `Quick
+            test_wide_process_fidelity;
           QCheck_alcotest.to_alcotest prop_trace_matches_dense;
         ] );
       ( "basis simulation",
@@ -425,6 +538,7 @@ let () =
           Alcotest.test_case "classical outcome" `Quick test_classical_outcome;
           Alcotest.test_case "96-qubit functional check" `Quick
             test_wide_functional_run;
+          Alcotest.test_case "96-qubit amplitudes" `Quick test_wide_amplitude;
           QCheck_alcotest.to_alcotest prop_basis_run_matches_dense;
         ] );
       ( "properties",
