@@ -224,13 +224,20 @@ let rewrite_pass ?device c =
   in
   Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
 
-(* Window-signature memo for the identity test.  Support-compacted
-   windows are position independent — [H 7; X 9; H 7] and [H 0; X 2;
-   H 0] compact to the same signature — so each distinct signature pays
-   for one dense [Sim.unitary] ever, across sweeps and across circuits
-   (the verdict depends only on the gate sequence).  The table is a pure
-   cache: on overflow it is dropped wholesale and verdicts are simply
-   re-simulated.
+(* Identity-window removal: the longest window the pass tries.  Packed
+   memo keys spend 10 bits per gate, so 6 gates fill 60 of the 63 bits
+   of an OCaml int. *)
+let max_window = 6
+
+(* Window-signature memo for the identity test.  A window's signature
+   renames its qubits 0, 1, 2 in first-seen order — [H 7; X 9; H 7] and
+   [H 0; X 2; H 0] both become [H 0; X 1; H 0] — and being the identity
+   does not change under qubit relabeling, so each distinct signature
+   pays for one dense [Sim.unitary] ever, across sweeps and across
+   circuits.  A parameter-free signature packs injectively into an int
+   ([packed_code] per gate); one holding a rotation keeps its renamed
+   gate list as the key.  The table is a pure cache: on overflow it is
+   dropped wholesale and verdicts are simply re-simulated.
 
    Ownership: the table lives in domain-local storage, one table per
    domain.  Domain-parallel compiles (the Parallel runner) each get a
@@ -239,8 +246,24 @@ let rewrite_pass ?device c =
    re-simulation.  Within one domain the table is still a plain
    Hashtbl — sys-threads of the same domain must not run optimize
    concurrently (the serve daemon's compile lock enforces this). *)
-let window_memo_key : (Gate.t list, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+type window_key = Packed of int | Gates of Gate.t list
+
+module Window_memo = Hashtbl.Make (struct
+  type t = window_key
+
+  let equal a b =
+    match (a, b) with
+    | Packed x, Packed y -> Int.equal x y
+    | Gates x, Gates y -> List.equal Gate.equal x y
+    | Packed _, Gates _ | Gates _, Packed _ -> false
+
+  let hash = function
+    | Packed k -> Hashtbl.hash k
+    | Gates gates -> Hashtbl.hash gates
+end)
+
+let window_memo_key : bool Window_memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Window_memo.create 4096)
 
 let window_memo_limit = 65536
 
@@ -255,81 +278,190 @@ let near_identity_possible = function
   | Gate.Toffoli _ | Gate.Mct _ ->
     false
 
-(* Cheap sound rejection: a qubit touched by exactly one window gate
-   forces that gate to act as the identity on it.  Factoring the window
-   unitary over the lone qubit's operator blocks shows the gate would
-   have to be within ~4 eps of V (x) I for some unitary V on its other
-   qubits — and every parameter-free library gate is at distance O(1)
-   from that set.  Only near-zero-angle rotations can pass, so they are
-   exempt and fall through to the simulation. *)
-let lone_touch_rules_out window supports support =
-  List.exists
-    (fun q ->
-      match
-        List.filter (fun (_, s) -> List.mem q s) (List.combine window supports)
-      with
-      | [ (g, _) ] -> not (near_identity_possible g)
-      | _ -> false)
-    support
+(* One gate's 10-bit slice of a packed key: a kind code in 1..15 (never
+   0, so a key also fixes its window length) and up to three 2-bit
+   qubit labels in constructor order.  [Mct] splits by control count;
+   the rotations, and an [Mct] with more than two controls, have no
+   packed form. *)
+let packed_code kind a b c = kind lor (a lsl 4) lor (b lsl 6) lor (c lsl 8)
 
-let window_is_identity window =
-  let supports = List.map Gate.support window in
-  let support = List.sort_uniq Int.compare (List.concat supports) in
-  List.length support <= 3
-  &&
-  (* Exact-inverse pair: g then (adjoint g) multiplies to the identity
-     by construction; no simulation needed. *)
-  match window with
-  | [ g; h ] when Gate.equal h (Gate.adjoint g) -> true
-  | _ ->
-    (not (lone_touch_rules_out window supports support))
-    &&
-    let index q =
-      let rec find i = function
-        | [] -> assert false
-        | x :: rest -> if x = q then i else find (i + 1) rest
-      in
-      find 0 support
-    in
-    let signature = List.map (Gate.rename index) window in
-    let window_memo = Domain.DLS.get window_memo_key in
-    (match Hashtbl.find_opt window_memo signature with
+let remove_identity_windows c =
+  let memo = Domain.DLS.get window_memo_key in
+  (* The window growing from one position, one gate at a time, is
+     [window.(0 .. w-1)].  Label [l] (first-seen order) stands for qubit
+     [qubits.(l)], touched by [touches.(l)] window gates, the last of
+     them [window.(toucher.(l))].  Per window length [w]: its qubit
+     count, whether a lone-touch rejects it, and its packed key (valid
+     while [w <= !packable]).  Every helper below takes its position
+     explicitly, so growing and checking windows allocates no
+     closures. *)
+  let window = Array.make max_window (Gate.X 0)
+  and qubits = Array.make 3 0
+  and touches = Array.make 3 0
+  and toucher = Array.make 3 (-1)
+  and labels = ref 0
+  and packable = ref 0 in
+  let width = Array.make (max_window + 1) 0
+  and lone = Array.make (max_window + 1) false
+  and key = Array.make (max_window + 1) 0 in
+  (* The label of qubit [q] (searching from label [l]), assigning the
+     next one to a new qubit; -1 when [q] would be a fourth qubit. *)
+  let rec label_of q l =
+    if l = !labels then
+      if l = 3 then -1
+      else begin
+        qubits.(l) <- q;
+        touches.(l) <- 0;
+        toucher.(l) <- -1;
+        labels := l + 1;
+        l
+      end
+    else if qubits.(l) = q then l
+    else label_of q (l + 1)
+  in
+  (* [label_of], counting window gate [j] as a toucher of [q]; a gate
+     naming a qubit twice touches it once. *)
+  let touch j q =
+    let l = label_of q 0 in
+    if l >= 0 && toucher.(l) <> j then begin
+      touches.(l) <- touches.(l) + 1;
+      toucher.(l) <- j
+    end;
+    l
+  in
+  let one j kind q =
+    let a = touch j q in
+    if a < 0 then -1 else packed_code kind a 0 0
+  in
+  let two j kind p q =
+    let a = touch j p in
+    if a < 0 then -1
+    else
+      let b = touch j q in
+      if b < 0 then -1 else packed_code kind a b 0
+  in
+  let three j kind p q r =
+    let a = touch j p in
+    if a < 0 then -1
+    else
+      let b = touch j q in
+      if b < 0 then -1
+      else
+        let c = touch j r in
+        if c < 0 then -1 else packed_code kind a b c
+  in
+  (* Adds [g] as window gate [j]: its packed code, 0 when it fits but
+     has no packed form, -1 when the support would exceed 3 qubits. *)
+  let add j g =
+    window.(j) <- g;
+    match g with
+    | Gate.X q -> one j 1 q
+    | Gate.Y q -> one j 2 q
+    | Gate.Z q -> one j 3 q
+    | Gate.H q -> one j 4 q
+    | Gate.S q -> one j 5 q
+    | Gate.Sdg q -> one j 6 q
+    | Gate.T q -> one j 7 q
+    | Gate.Tdg q -> one j 8 q
+    | Gate.Rx (_, q) | Gate.Ry (_, q) | Gate.Rz (_, q) | Gate.Phase (_, q) ->
+      if touch j q < 0 then -1 else 0
+    | Gate.Cnot { control; target } -> two j 9 control target
+    | Gate.Cz (a, b) -> two j 10 a b
+    | Gate.Swap (a, b) -> two j 11 a b
+    | Gate.Toffoli { c1; c2; target } -> three j 12 c1 c2 target
+    | Gate.Mct { controls = []; target } -> one j 13 target
+    | Gate.Mct { controls = [ c1 ]; target } -> two j 14 c1 target
+    | Gate.Mct { controls = [ c1; c2 ]; target } -> three j 15 c1 c2 target
+    | Gate.Mct { controls; target } ->
+      if List.for_all (fun q -> touch j q >= 0) (target :: controls) then 0
+      else -1
+  in
+  (* Cheap sound rejection: a qubit touched by exactly one window gate
+     forces that gate to act as the identity on it.  Factoring the
+     window unitary over the lone qubit's operator blocks shows the gate
+     would have to be within ~4 eps of V (x) I for some unitary V on its
+     other qubits — and every parameter-free library gate is at
+     distance O(1) from that set.  Only near-zero-angle rotations can
+     pass, so they are exempt and fall through to the simulation. *)
+  let rec lone_touch l =
+    l < !labels
+    && ((touches.(l) = 1 && not (near_identity_possible window.(toucher.(l))))
+       || lone_touch (l + 1))
+  in
+  (* Grows the window from [w] gates over the following [gates] until
+     it reaches [max_window] gates, the end of the circuit, or a fourth
+     qubit; returns its length. *)
+  let rec grow gates w =
+    match gates with
+    | g :: rest when w < max_window ->
+      let code = add w g in
+      if code < 0 then w
+      else begin
+        let w' = w + 1 in
+        width.(w') <- !labels;
+        lone.(w') <- lone_touch 0;
+        if !packable = w && code > 0 then begin
+          key.(w') <- key.(w) lor (code lsl (10 * w));
+          packable := w'
+        end;
+        grow rest w'
+      end
+    | _ -> w
+  in
+  let signature w =
+    List.init w (fun j -> Gate.rename (fun q -> label_of q 0) window.(j))
+  in
+  let simulated_verdict w =
+    let k = if w <= !packable then Packed key.(w) else Gates (signature w) in
+    match Window_memo.find_opt memo k with
     | Some verdict -> verdict
     | None ->
-      let compact = Circuit.make ~n:(List.length support) signature in
+      let signature = match k with Gates s -> s | Packed _ -> signature w in
+      let compact = Circuit.make ~n:width.(w) signature in
       let verdict =
         Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact)
       in
-      if Hashtbl.length window_memo >= window_memo_limit then
-        Hashtbl.reset window_memo;
-      Hashtbl.replace window_memo signature verdict;
-      verdict)
-
-let remove_identity_windows ?(max_window = 6) c =
-  let rec take k = function
-    | rest when k = 0 -> Some ([], rest)
-    | [] -> None
-    | g :: rest -> (
-      match take (k - 1) rest with
-      | Some (window, tail) -> Some (g :: window, tail)
-      | None -> None)
+      if Window_memo.length memo >= window_memo_limit then
+        Window_memo.reset memo;
+      Window_memo.replace memo k verdict;
+      verdict
   in
-  let rec go gates =
+  (* Tries the grown windows from the longest down: the length of the
+     first identity window, or 0. *)
+  let rec try_window w =
+    if w < 2 then 0
+    else if
+      (* Exact-inverse pair: g then (adjoint g) multiplies to the
+         identity by construction; no simulation needed. *)
+      (w = 2 && Gate.equal window.(1) (Gate.adjoint window.(0)))
+      || ((not lone.(w)) && simulated_verdict w)
+    then w
+    else try_window (w - 1)
+  in
+  let rec drop k gates = if k = 0 then gates else drop (k - 1) (List.tl gates) in
+  (* The deleted windows as (first position, length), last one first. *)
+  let rec scan i gates deleted =
     match gates with
-    | [] -> []
-    | g :: rest ->
-      let rec try_window w =
-        if w < 2 then None
-        else
-          match take w gates with
-          | Some (window, tail) when window_is_identity window -> Some tail
-          | Some _ | None -> try_window (w - 1)
-      in
-      (match try_window max_window with
-      | Some tail -> go tail
-      | None -> g :: go rest)
+    | [] -> deleted
+    | _ :: rest -> (
+      labels := 0;
+      packable := 0;
+      match try_window (grow gates 0) with
+      | 0 -> scan (i + 1) rest deleted
+      | w -> scan (i + w) (drop w gates) ((i, w) :: deleted))
   in
-  Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
+  match List.rev (scan 0 (Circuit.gates c) []) with
+  | [] -> c
+  | deleted ->
+    let pending = ref deleted in
+    let kept i _ =
+      match !pending with
+      | (first, w) :: later when i >= first ->
+        if i = first + w - 1 then pending := later;
+        false
+      | _ -> true
+    in
+    Circuit.make ~n:(Circuit.n_qubits c) (List.filteri kept (Circuit.gates c))
 
 type outcome = {
   circuit : Circuit.t;

@@ -18,10 +18,12 @@
     so optimizing a mapped circuit keeps it mapped.
 
     {b Ownership rule.}  The module's only mutable state is the
-    identity-window memo table, which lives in domain-local storage
-    ([Domain.DLS]): each domain owns a private table, so domain-parallel
-    compiles never contend and produce identical results (the cached
-    verdict is a pure function of the window signature).  Sys-threads
+    identity-window memo table (window signature to identity verdict),
+    which lives in domain-local storage ([Domain.DLS]): each domain
+    owns a private table, so domain-parallel compiles never contend and
+    produce identical results (the cached verdict is a pure function of
+    the window signature, and the table is dropped wholesale at 65 536
+    entries).  A scan's window state is local to the call.  Sys-threads
     {e within} one domain must not run optimize passes concurrently —
     callers that mix threads and optimization (the serve daemon)
     serialize compiles per domain. *)
@@ -49,14 +51,19 @@ val cancel_pass : ?lookback:int -> Circuit.t -> Circuit.t
     rewrites. *)
 val rewrite_pass : ?device:Device.t -> Circuit.t -> Circuit.t
 
-(** [remove_identity_windows ?max_window c] deletes contiguous gate
-    windows (up to [max_window] gates, default 6, spanning at most 3
-    qubits) whose product is exactly the identity.  Identity verdicts
-    are memoized on the support-compacted gate sequence and guarded by
-    sound pre-filters (exact inverse pairs; qubits touched by a single
+(** [remove_identity_windows c] deletes contiguous gate windows (up to
+    6 gates, spanning at most 3 qubits) whose product is exactly the
+    identity, in one left-to-right scan: at each position the longest
+    identity window wins and the scan resumes past it, so a pair that a
+    deletion makes adjacent waits for the next fixpoint sweep.  Each
+    window is grown one gate at a time and stops at a fourth qubit, so
+    wider windows are never built.  Identity verdicts are memoized on
+    the window's signature (qubits renamed in first-seen order; an int
+    key when every gate is parameter-free) and guarded by sound
+    pre-filters (exact inverse pairs; qubits touched by a single
     parameter-free gate), so the dense simulation only runs on cache
     misses — the result is identical to checking every window. *)
-val remove_identity_windows : ?max_window:int -> Circuit.t -> Circuit.t
+val remove_identity_windows : Circuit.t -> Circuit.t
 
 (** What a budgeted optimization run produced and why it stopped. *)
 type outcome = {

@@ -111,6 +111,57 @@ let test_identity_window () =
   check_int "window removed" 0
     (Circuit.gate_count (Optimize.remove_identity_windows c))
 
+(* A near-zero rotation alone on its wire is exempt from the lone-touch
+   rejection: the window is simulated, and Rz(1e-13) is the identity
+   within tolerance. *)
+let test_identity_window_lone_rotation () =
+  let c =
+    circ
+      [
+        Gate.Rz (1e-13, 0);
+        Gate.Cnot { control = 1; target = 2 };
+        Gate.Cnot { control = 1; target = 2 };
+      ]
+  in
+  check_bool "whole window removed" true
+    (Circuit.gates (Optimize.remove_identity_windows c) = [])
+
+(* A parameter-free gate alone on its wire rules the 3-gate window out;
+   the CNOT pair behind it still goes. *)
+let test_identity_window_lone_gate () =
+  let c =
+    circ
+      [
+        Gate.T 0;
+        Gate.Cnot { control = 1; target = 2 };
+        Gate.Cnot { control = 1; target = 2 };
+      ]
+  in
+  check_bool "T kept" true
+    (Circuit.gates (Optimize.remove_identity_windows c) = [ Gate.T 0 ])
+
+(* One pass is one sweep: deleting the inner pair makes the outer pair
+   adjacent, but the scan has already moved past it — the next fixpoint
+   iteration removes it. *)
+let test_identity_window_single_sweep () =
+  let cnot a b = Gate.Cnot { control = a; target = b } in
+  let c = circ [ cnot 0 1; cnot 2 3; cnot 2 3; cnot 0 1 ] in
+  check_bool "outer pair left" true
+    (Circuit.gates (Optimize.remove_identity_windows c) = [ cnot 0 1; cnot 0 1 ])
+
+(* Verdicts are shared through the memo, so two windows of the same
+   shape must not share a key unless they are the same gates: the CNOT
+   window is the identity (X on the target commutes through), the CZ
+   one is not.  Whichever runs first warms the memo for the other. *)
+let test_identity_window_memo_keys () =
+  let cnot a b = Gate.Cnot { control = a; target = b } in
+  let not_identity = circ [ Gate.Cz (0, 1); Gate.X 1; cnot 0 1; Gate.X 1 ] in
+  let identity = circ [ cnot 0 1; Gate.X 1; cnot 0 1; Gate.X 1 ] in
+  check_bool "CZ window kept" true
+    (Circuit.equal (Optimize.remove_identity_windows not_identity) not_identity);
+  check_bool "CNOT window removed" true
+    (Circuit.gates (Optimize.remove_identity_windows identity) = [])
+
 let test_optimize_fixed_point () =
   (* A cascade needing multiple passes: inner pair cancels, exposing the
      outer pair. *)
@@ -268,6 +319,116 @@ let prop_identity_windows_preserve =
     (fun c ->
       Sim.equivalent ~up_to_phase:false c (Optimize.remove_identity_windows c))
 
+(* The promise of [remove_identity_windows]: the memo and the
+   pre-filters change nothing.  The reference tries every window of 6
+   down to 2 gates at each position and deletes the first one that
+   spans at most 3 qubits and whose dense unitary is the identity. *)
+let naive_remove_identity_windows c =
+  let is_identity window =
+    let support =
+      List.sort_uniq Int.compare (List.concat_map Gate.support window)
+    in
+    List.length support <= 3
+    &&
+    let index q =
+      let rec find i = function
+        | [] -> assert false
+        | x :: rest -> if x = q then i else find (i + 1) rest
+      in
+      find 0 support
+    in
+    let compact =
+      Circuit.make ~n:(List.length support) (List.map (Gate.rename index) window)
+    in
+    Mathkit.Matrix.is_identity ~eps:1e-9 (Sim.unitary compact)
+  in
+  let rec take k gates =
+    if k = 0 then Some []
+    else
+      match gates with
+      | [] -> None
+      | g :: rest -> Option.map (List.cons g) (take (k - 1) rest)
+  in
+  let rec go gates =
+    match gates with
+    | [] -> []
+    | g :: rest ->
+      let rec try_window w =
+        if w < 2 then None
+        else
+          match take w gates with
+          | Some window when is_identity window -> Some w
+          | Some _ | None -> try_window (w - 1)
+      in
+      (match try_window 6 with
+      | Some w -> go (List.filteri (fun i _ -> i >= w) gates)
+      | None -> g :: go rest)
+  in
+  Circuit.make ~n:(Circuit.n_qubits c) (go (Circuit.gates c))
+
+(* 6-qubit circuits built to reach every branch of the window scan:
+   Mct gates (0-3 controls, so some fit in 3 qubits), rotations at
+   angles near the 1e-9 tolerance, and random <= 3-qubit segments
+   followed by their inverse, so that identity windows really occur. *)
+let gen_window_circuit =
+  let open QCheck2.Gen in
+  let n = 6 in
+  let tiny_rotation =
+    map3
+      (fun ctor theta q -> ctor theta q)
+      (oneofl
+         [
+           (fun t q -> Gate.Rx (t, q));
+           (fun t q -> Gate.Ry (t, q));
+           (fun t q -> Gate.Rz (t, q));
+           (fun t q -> Gate.Phase (t, q));
+         ])
+      (map2 ( *. ) (oneofl [ 1e-13; 1e-10; 1e-8 ]) (oneofl [ 1.0; -1.0 ]))
+  in
+  let mct k wires =
+    map
+      (fun perm ->
+        let controls = List.filteri (fun i _ -> i < k) perm in
+        Gate.Mct { controls; target = List.nth perm k })
+      (shuffle_l wires)
+  in
+  let segment =
+    Testutil.gen_triple n >>= fun (a, b, c) ->
+    let wires = [ a; b; c ] in
+    let on_wires = Gate.rename (fun q -> List.nth wires q) in
+    let gate =
+      frequency
+        [
+          (4, map on_wires (Testutil.gen_gate 3));
+          (1, tiny_rotation (oneofl wires));
+          (1, int_bound 2 >>= fun k -> mct k wires);
+        ]
+    in
+    int_range 1 3 >>= fun len ->
+    list_repeat len gate
+    |> map (fun gates ->
+           gates @ Circuit.gates (Circuit.inverse (Circuit.make ~n gates)))
+  in
+  let chunk =
+    frequency
+      [
+        (4, map (fun g -> [ g ]) (Testutil.gen_gate n));
+        (1, map (fun g -> [ g ]) (tiny_rotation (Testutil.gen_qubit n)));
+        ( 1,
+          int_bound 3 >>= fun k ->
+          map (fun g -> [ g ]) (mct k (List.init n Fun.id)) );
+        (3, segment);
+      ]
+  in
+  int_bound 12 >>= fun len ->
+  list_repeat len chunk |> map (fun chunks -> Circuit.make ~n (List.concat chunks))
+
+let prop_identity_windows_match_naive =
+  QCheck2.Test.make ~name:"identity-window removal matches naive reference"
+    ~count:200 ~print:Circuit.to_string gen_window_circuit (fun c ->
+      Circuit.gates (Optimize.remove_identity_windows c)
+      = Circuit.gates (naive_remove_identity_windows c))
+
 let () =
   Alcotest.run "optimize"
     [
@@ -287,6 +448,14 @@ let () =
           Alcotest.test_case "fig6 device guard" `Quick test_fig6_respects_device;
           Alcotest.test_case "H conjugation" `Quick test_h_conjugation;
           Alcotest.test_case "identity window" `Quick test_identity_window;
+          Alcotest.test_case "identity window lone rotation" `Quick
+            test_identity_window_lone_rotation;
+          Alcotest.test_case "identity window lone gate" `Quick
+            test_identity_window_lone_gate;
+          Alcotest.test_case "identity window single sweep" `Quick
+            test_identity_window_single_sweep;
+          Alcotest.test_case "identity window memo keys" `Quick
+            test_identity_window_memo_keys;
         ] );
       ( "fixed point",
         [
@@ -308,5 +477,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cancel_pass_preserves;
           QCheck_alcotest.to_alcotest prop_rewrite_pass_preserves;
           QCheck_alcotest.to_alcotest prop_identity_windows_preserve;
+          QCheck_alcotest.to_alcotest prop_identity_windows_match_naive;
         ] );
     ]
